@@ -30,6 +30,10 @@ from __future__ import annotations
 import ipaddress
 from typing import Callable, Optional, Tuple, Union
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 _hostname_resolver: Optional[Callable[[str], Optional[IPAddress]]] = None
@@ -95,3 +99,21 @@ def parse_and_canonicalize(text: str) -> Tuple[Optional[IPAddress], Optional[str
     if addr is None:
         return None, None
     return addr, host_address(addr)
+
+
+#: an IPv4 dotted quad in canonical form: ASCII digits, no leading zeros,
+#: no whitespace — exactly the IPv4 text ``ipaddress.ip_address`` accepts
+_OCTET = r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
+_DOTTED_QUAD = r"^%s\.%s\.%s\.%s$" % ((_OCTET,) * 4)
+
+
+def parse_ipv4_array(strings: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized IPv4 parse of a string array: ``(mask, addrs)``, where
+    ``mask`` marks the dotted quads (the strings ``parse_ip`` parses to an
+    IPv4 address with ``host_address`` equal to the string itself) and
+    ``addrs`` holds their addresses as uint32, in order."""
+    mask = pc.fill_null(pc.match_substring_regex(strings, _DOTTED_QUAD), False)
+    octets = pc.list_flatten(pc.split_pattern(strings.filter(mask), ".")).cast(pa.uint32())
+    o = np.asarray(octets).reshape(-1, 4)
+    addrs = (o[:, 0] << 24) | (o[:, 1] << 16) | (o[:, 2] << 8) | o[:, 3]
+    return np.asarray(mask, dtype=bool), addrs

@@ -155,9 +155,11 @@ def build_enriched(
 def sink_counts(enriched_ds, count_alias: str = "n"):
     """Per-sink (country, tool) counts, sorted — matches ORACLE_SINK_COUNTS.
     Sorting happens inside the final tree-combine task (the result is a few
-    hundred rows; a Ray Sort operator would be pure fixed overhead)."""
+    hundred rows; a Ray Sort operator would be pure fixed overhead). The
+    partial counts take whole blocks: a fixed batch size makes Ray bundle
+    small blocks into fewer tasks than there are CPUs."""
     return grouped_counts(
-        enriched_ds, ["country", "tool"], count_alias, sort_result=True
+        enriched_ds, ["country", "tool"], count_alias, batch_size=None, sort_result=True
     )
 
 

@@ -133,10 +133,11 @@ def grouped_counts(
     ds,
     key_cols: Sequence[str],
     count_alias: str = "n",
-    batch_size: int = 65536,
+    batch_size: Optional[int] = 65536,
     sort_result: bool = False,
 ):
-    """count(*) per key: per-batch partial counts → tree combine.
+    """count(*) per key: per-batch partial counts → tree combine
+    (``batch_size=None``: one partial per block).
 
     Returns a Dataset with columns ``key_cols + [count_alias]``.
     """

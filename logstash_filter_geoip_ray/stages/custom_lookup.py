@@ -9,22 +9,27 @@ worker."""
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import Dict, Optional
 
+import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..state.mmdb import MMDBReader
+from ..functions.iputil import parse_ip, parse_ipv4_array
+from ..state.mmdb import MMDBReader, resolve_distinct
 
 _PROCESS_READERS: dict = {}
+
+_DECODE_ERRORS = (ValueError, IndexError, KeyError, struct.error)
 
 
 class CustomMMDBEnricher:
     """map_batches callable: look up ``source_column`` (IP/CIDR-keyed) in a
     custom MMDB and emit ``output_column`` as a struct of ``fields``
-    (name → pyarrow type). Misses/malformed → null struct. One reader +
-    LRU per worker process."""
+    (name → pyarrow type). Misses/malformed → null struct. IPv4 dotted
+    quads go through the reader's batch tree walk; other strings through
+    an LRU. One reader + LRU per worker process."""
 
     def __init__(
         self,
@@ -40,7 +45,7 @@ class CustomMMDBEnricher:
         self.output_column = output_column
         self.cache_size = cache_size
 
-    def _lookup_fn(self):
+    def _reader_and_lookup(self):
         key = (self.db_path, self.cache_size)
         entry = _PROCESS_READERS.get(key)
         if entry is None:
@@ -48,55 +53,57 @@ class CustomMMDBEnricher:
 
             @lru_cache(maxsize=self.cache_size)
             def lookup(raw: str):
-                from ..functions.iputil import parse_ip
-
                 addr = parse_ip(raw)
                 if addr is None:
                     return None
                 try:
                     record, _ = reader.get(addr)
-                except (ValueError, IndexError, KeyError):
+                except _DECODE_ERRORS:
                     return None
                 return record
 
-            entry = lookup
+            entry = (reader, lookup)
             _PROCESS_READERS[key] = entry
         return entry
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lookup = self._lookup_fn()
+        reader, lookup = self._reader_and_lookup()
         src = batch[self.source_column]
         if isinstance(src, pa.ChunkedArray):
             src = src.combine_chunks()
         enc = src.dictionary_encode()
-        dictionary = enc.dictionary.to_pylist()
-        # Null source rows keep a null index: pc.take propagates null indices
-        # to null outputs, so they can never alias dictionary slot 0's record.
-        indices = enc.indices
-        records = [lookup(v) if v is not None else None for v in dictionary]
+        dictionary = enc.dictionary.cast(pa.string())
+        # per distinct source string: its slot in `records`, -1 = no record
+        is_v4, addrs = parse_ipv4_array(dictionary)
+        offsets, _ = reader.get_ipv4_batch(addrs)
+        v4_slot, records = resolve_distinct(offsets, lambda offset: _record_at(reader, offset))
+        slot = np.full(len(dictionary), -1, dtype=np.int64)
+        slot[is_v4] = v4_slot
+        fallback = np.flatnonzero(~is_v4)
+        for pos, raw in zip(fallback.tolist(), dictionary.take(fallback).to_pylist()):
+            record = lookup(raw)
+            if record is not None:
+                slot[pos] = len(records)
+                records.append(record)
 
-        child_arrays = []
-        names = []
-        for name, typ in self.fields:
-            uniq = [r.get(name) if r is not None else None for r in records]
-            arr_u = pa.array(uniq, type=typ)
-            arr = (
-                pc.take(arr_u, indices)
-                if len(dictionary)
-                else pa.nulls(batch.num_rows, type=typ)
-            )
-            child_arrays.append(arr)
-            names.append(name)
-        found_u = pa.array([r is not None for r in records], type=pa.bool_())
-        found = (
-            pc.fill_null(pc.take(found_u, indices), False)
-            if len(dictionary)
-            else pa.array([False] * batch.num_rows)
-        )
-        import numpy as np
-
-        mask = pa.array(~np.asarray(found))
-        struct_arr = pa.StructArray.from_arrays(child_arrays, names=names, mask=mask)
+        # Null source rows keep a null index, so they can never alias
+        # dictionary slot 0's record; misses take a null index too.
+        row_slot = np.asarray(pa.array(slot).take(enc.indices).fill_null(-1))
+        found = row_slot >= 0
+        row_record = pa.array(row_slot, mask=~found)
+        child_arrays = [
+            pa.array([r.get(name) for r in records], type=typ).take(row_record)
+            for name, typ in self.fields
+        ]
+        names = [name for name, _ in self.fields]
+        struct_arr = pa.StructArray.from_arrays(child_arrays, names=names, mask=pa.array(~found))
         if self.output_column in batch.column_names:
             batch = batch.drop_columns([self.output_column])
         return batch.append_column(self.output_column, struct_arr)
+
+
+def _record_at(reader: MMDBReader, offset: int) -> Optional[dict]:
+    try:
+        return reader.record_at(offset)
+    except _DECODE_ERRORS:
+        return None

@@ -15,10 +15,23 @@ vectorized over Arrow batches:
   custom fields (E22), and the Java ``getHostAddress`` echo form.
 - ``GeoIPEnricher`` is the Ray stage: a callable class used as
   ``ds.map_batches(GeoIPEnricher(cfg), batch_format="pyarrow",
-  concurrency=N)``. Each actor opens the MMDB once in ``__init__``; each
-  batch is dictionary-encoded so every *distinct* source string is looked up
-  once and results are expanded back with ``pc.take`` — the batched
-  algorithmic win the per-event reference cannot express.
+  concurrency=N)``. Each actor opens the MMDB once. Each batch is
+  dictionary-encoded, and its distinct source strings are resolved as a
+  batch:
+
+  - canonical IPv4 dotted quads (one Arrow regex) are parsed to uint32 and
+    walked down the mmap'd search tree together with numpy
+    (``MMDBReader.get_ipv4_batch``). Validation (E22), the E5 abort and the
+    projection run once per distinct *record* and are memoized by its data
+    offset; ``ip`` is the source string itself and ``network`` is computed
+    from the address and prefix length;
+  - everything else (IPv6, ``::ffff:`` and other non-canonical text,
+    malformed tokens, hostnames, a deferred unsupported DB type) goes
+    through ``GeoIPLookup.lookup`` and its LRU.
+
+  Each leaf column is built once per record and expanded to rows with
+  ``take`` — the batched algorithmic win the per-event reference cannot
+  express. ``kernel_rows`` / ``fallback_rows`` count the rows each way.
 
 Output encoding (three-state contract, SURVEY.md §1.5 / FIXTURES.md §4):
 
@@ -46,8 +59,8 @@ from ..functions.fields import (
     Field,
     database_from_type_string,
 )
-from ..functions.iputil import host_address, parse_ip
-from ..state.mmdb import U16, UBIG, InvalidDatabaseError, MMDBReader
+from ..functions.iputil import host_address, parse_ip, parse_ipv4_array
+from ..state.mmdb import U16, UBIG, InvalidDatabaseError, MMDBReader, resolve_distinct
 
 # ---------------------------------------------------------------------------
 # Strict response-model validation (E22).
@@ -332,6 +345,12 @@ def _network_string(addr, prefix_len: int, ip_version_6_tree: bool) -> str:
     return "%s/%d" % (host_address(net.network_address), net.prefixlen)
 
 
+#: fields that depend on the looked-up address, not on its record
+_ADDRESS_FIELDS = frozenset({Field.IP, Field.NETWORK})
+
+_DECODE_ERRORS = (ValueError, IndexError, KeyError, struct.error)
+
+
 def _put_if(geo: dict, field: Field, value) -> None:
     if value is not None:
         geo[field] = value
@@ -356,6 +375,8 @@ class GeoIPLookup:
         except FileNotFoundError:
             raise ValueError("The database provided was not found in the path") from None
         self.db_type = database_from_type_string(self.reader.database_type)
+        #: projected values per record data offset (see ``_values_at``)
+        self._by_offset: Dict[int, Optional[Dict[Field, Any]]] = {}
         #: Reference parity (GeoIPFilter.java:194-196): an unrecognized
         #: database_type throws IllegalStateException("Unsupported database
         #: type ...") per event. Failing at construction preserves the
@@ -406,24 +427,63 @@ class GeoIPLookup:
             return False, None  # UnknownHostException path (E3)
         try:
             record, prefix_len = self.reader.get(addr)
-        except (ValueError, IndexError, KeyError, struct.error):
+        except _DECODE_ERRORS:
             # includes InvalidDatabaseError plus raw decode failures on a
             # truncated/corrupt data section — degrade to a per-row failure
             # like the reference's per-event catch, never kill the batch
             return False, None
         if record is None:
             return False, None  # AddressNotFoundException path (E4)
+        values = self._record_values(record)
+        if values is None:
+            return False, None
+        if Field.IP in self.effective:
+            values[Field.IP] = host_address(addr)
+        if Field.NETWORK in self.effective:
+            values[Field.NETWORK] = _network_string(addr, prefix_len, self._tree_is_v6)
+        return True, values
+
+    def lookup_ipv4(self, addrs: np.ndarray) -> Tuple[np.ndarray, List[Dict[Field, Any]], np.ndarray]:
+        """Batch lookup of uint32 IPv4 addresses through the reader's tree
+        walk: ``(slot, records, prefix_len)``. ``records`` holds the
+        projected values of each distinct record found, without the
+        per-address fields (IP, NETWORK); ``slot`` gives each address's
+        index into it, -1 where the lookup fails."""
+        offsets, prefix_len = self.reader.get_ipv4_batch(addrs)
+        slot, records = resolve_distinct(offsets, self._values_at)
+        return slot, records, prefix_len
+
+    def _values_at(self, offset: int) -> Optional[Dict[Field, Any]]:
+        """``_record_values`` of the record at a data offset, memoized per
+        offset (a database holds far fewer records than addresses)."""
+        try:
+            return self._by_offset[offset]
+        except KeyError:
+            pass
+        try:
+            values = self._record_values(self.reader.record_at(offset))
+        except _DECODE_ERRORS:
+            values = None
+        self._by_offset[offset] = values
+        return values
+
+    def _record_values(self, record: Any) -> Optional[Dict[Field, Any]]:
+        """Projected values of a found record, without the per-address
+        fields; None when the lookup fails on it: a model mismatch (E22),
+        the City lat/lon early abort (E5) or an empty projection."""
         if self._model is not None:
             try:
                 _validate_model(record, self._model)
             except InvalidCustomFieldError:
-                return False, None  # E22: degrade to per-row failure
-        values = self._project(addr, record, prefix_len)
-        if not values:
-            return False, None  # includes the City lat/lon early abort (E5)
-        return True, values
+                return None  # E22: degrade to per-row failure
+        values = self._project(record)
+        if values is None or not (values or self.effective & _ADDRESS_FIELDS):
+            return None
+        return values
 
-    def _project(self, addr, rec: dict, prefix_len: int) -> Dict[Field, Any]:
+    def _project(self, rec: dict) -> Optional[Dict[Field, Any]]:
+        """Per-DB projection of a record, without IP and NETWORK (which
+        depend on the address, not the record); None on the E5 abort."""
         db = self.db_type
         eff = self.effective
         geo: Dict[Field, Any] = {}
@@ -433,7 +493,7 @@ class GeoIPLookup:
             # early abort: a found record without coordinates is a *failure*
             # (GeoIPFilter.java:251-255)
             if lat is None and lon is None:
-                return geo
+                return None
             country = rec.get("country") or {}
             subdivisions = rec.get("subdivisions") or []
             subdivision = subdivisions[-1] if subdivisions else {}
@@ -449,8 +509,6 @@ class GeoIPLookup:
                 _put_if(geo, Field.COUNTRY_CODE2, country.get("iso_code"))
             if Field.COUNTRY_CODE3 in eff:
                 _put_if(geo, Field.COUNTRY_CODE3, country.get("iso_code"))
-            if Field.IP in eff:
-                geo[Field.IP] = host_address(addr)
             if Field.POSTAL_CODE in eff:
                 _put_if(geo, Field.POSTAL_CODE, (rec.get("postal") or {}).get("code"))
             if Field.DMA_CODE in eff:
@@ -475,8 +533,6 @@ class GeoIPLookup:
 
         if db is DatabaseType.COUNTRY:
             country = rec.get("country") or {}
-            if Field.IP in eff:
-                geo[Field.IP] = host_address(addr)
             if Field.COUNTRY_CODE2 in eff:
                 _put_if(geo, Field.COUNTRY_CODE2, country.get("iso_code"))
             if Field.COUNTRY_NAME in eff:
@@ -486,8 +542,6 @@ class GeoIPLookup:
             return geo
 
         if db is DatabaseType.ISP:
-            if Field.IP in eff:
-                geo[Field.IP] = host_address(addr)
             if Field.AUTONOMOUS_SYSTEM_NUMBER in eff:
                 asn = rec.get("autonomous_system_number")
                 if asn is not None:
@@ -505,8 +559,6 @@ class GeoIPLookup:
             return geo
 
         if db is DatabaseType.ASN:
-            if Field.IP in eff:
-                geo[Field.IP] = host_address(addr)
             if Field.AUTONOMOUS_SYSTEM_NUMBER in eff:
                 asn = rec.get("autonomous_system_number")
                 if asn is not None:
@@ -517,8 +569,6 @@ class GeoIPLookup:
                     Field.AUTONOMOUS_SYSTEM_ORGANIZATION,
                     rec.get("autonomous_system_organization"),
                 )
-            if Field.NETWORK in eff:
-                geo[Field.NETWORK] = _network_string(addr, prefix_len, self._tree_is_v6)
             return geo
 
         if db is DatabaseType.DOMAIN:
@@ -534,8 +584,6 @@ class GeoIPLookup:
             subdivisions = rec.get("subdivisions") or []
             subdivision = subdivisions[-1] if subdivisions else {}
             traits = rec.get("traits") or {}
-            if Field.IP in eff:
-                geo[Field.IP] = host_address(addr)
             if Field.COUNTRY_CODE2 in eff:
                 _put_if(geo, Field.COUNTRY_CODE2, country.get("iso_code"))
             if Field.COUNTRY_NAME in eff:
@@ -566,16 +614,12 @@ class GeoIPLookup:
                     Field.AUTONOMOUS_SYSTEM_ORGANIZATION,
                     traits.get("autonomous_system_organization"),
                 )
-            if Field.NETWORK in eff:
-                geo[Field.NETWORK] = _network_string(addr, prefix_len, self._tree_is_v6)
             for trait_field, key in _TRAIT_KEYS.items():
                 if trait_field in eff:
                     geo[trait_field] = bool(traits.get(key, False))
             return geo
 
         if db is DatabaseType.ANONYMOUS_IP:
-            if Field.IP in eff:
-                geo[Field.IP] = host_address(addr)
             for trait_field, key in _TRAIT_KEYS.items():
                 if trait_field in eff:
                     geo[trait_field] = bool(rec.get(key, False))
@@ -772,8 +816,9 @@ class GeoIPEnricher:
     Ray constructs the callable per actor via ``fn_constructor_args`` — or,
     when an *instance* is passed, pickles the config-carrying instance and
     opens the MMDB lazily on first batch so the mmap never crosses the
-    network. Per batch: dictionary-encode the source column, look up each
-    distinct value once through the LRU, expand with ``pc.take``.
+    network. Per batch: dictionary-encode the source column, resolve the
+    distinct IPv4 values with one tree walk and the rest through the LRU,
+    expand with ``take``.
     """
 
     def __init__(self, config: GeoIPConfig, source_column: Optional[str] = None,
@@ -791,6 +836,10 @@ class GeoIPEnricher:
         self._db_override: Optional[str] = None
         self._control_mtime: Optional[float] = None
         self._last_poll = 0.0
+        #: attempted rows looked up by the IPv4 tree walk / by the scalar
+        #: fallback, summed over the batches this instance enriched
+        self.kernel_rows = 0
+        self.fallback_rows = 0
 
     # MMDB state must not be pickled (mmap); recreate lazily per process.
     def __getstate__(self):
@@ -809,6 +858,8 @@ class GeoIPEnricher:
         self._db_override = None
         self._control_mtime = None
         self._last_poll = 0.0
+        self.kernel_rows = 0
+        self.fallback_rows = 0
 
     def _effective_config(self) -> GeoIPConfig:
         if self._db_override is None:
@@ -872,6 +923,47 @@ class GeoIPEnricher:
         tags_arr = append_tags(existing, np.ones(n, dtype=bool), [tag], n)
         return batch.append_column(self.tags_column, tags_arr)
 
+    def _resolve(self, dictionary: pa.Array):
+        """Look up a batch's distinct source strings. Returns ``(slot,
+        records, is_v4, address_leaves)``: the projected values of every
+        record found, each string's index into them (-1 = failed), the
+        mask of strings the IPv4 tree walk took, and the per-string IP and
+        NETWORK columns (for the configured ones)."""
+        lookup = self._lookup
+        eff = lookup.effective
+        # IPv4 dotted quads: one vectorized tree walk, projected once per
+        # distinct record; per-address fields come from the string itself
+        if lookup._deferred_unsupported is None:
+            is_v4, addrs = parse_ipv4_array(dictionary)
+        else:
+            is_v4, addrs = np.zeros(len(dictionary), dtype=bool), np.zeros(0, dtype=np.uint32)
+        v4_slot, records, v4_prefix = lookup.lookup_ipv4(addrs)
+        slot = np.full(len(dictionary), -1, dtype=np.int64)
+        slot[is_v4] = v4_slot
+        address_leaves = {Field.IP: dictionary} if Field.IP in eff else {}
+        if Field.NETWORK in eff:
+            tree_depth = 96 if lookup._tree_is_v6 else 0
+            address_leaves[Field.NETWORK] = _network_strings(
+                is_v4, addrs, v4_prefix.astype(np.int64) - tree_depth
+            )
+
+        # everything else (IPv6, mapped and malformed text, hostnames)
+        # through the scalar lookup and its LRU
+        fallback = np.flatnonzero(~is_v4)
+        if len(fallback):
+            fb_values: List[Optional[Dict[Field, Any]]] = []
+            for pos, raw in zip(fallback.tolist(), dictionary.take(fallback).to_pylist()):
+                ok, values = lookup.lookup(raw) if raw.strip() else (False, None)
+                fb_values.append(values)
+                if ok:
+                    slot[pos] = len(records)
+                    records.append(values)
+            at_fallback = pa.array(np.cumsum(~is_v4) - 1, mask=is_v4)
+            for field, arr in address_leaves.items():
+                fb_arr = pa.array([v and v.get(field) for v in fb_values], type=pa.string())
+                address_leaves[field] = pc.if_else(pa.array(is_v4), arr, fb_arr.take(at_fallback))
+        return slot, records, is_v4, address_leaves
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.config.db_control_path is not None:
             self._poll_control()
@@ -926,48 +1018,32 @@ class GeoIPEnricher:
         attempted = np.asarray(attempted_arr)
 
         enc = src.dictionary_encode()
-        dictionary = enc.dictionary.to_pylist()
-        indices = enc.indices
+        dictionary = enc.dictionary.cast(pa.string())
+        d = len(dictionary)
         # null indices (missing source) → point at slot 0 but masked by
         # `attempted`; fill to keep take() happy
-        indices = pc.fill_null(indices, 0) if len(dictionary) else indices
-
-        lookup = self._lookup.lookup
-        uniq_ok: List[bool] = []
-        uniq_values: List[Optional[Dict[Field, Any]]] = []
-        for raw in dictionary:
-            if raw is None or not raw.strip():
-                uniq_ok.append(False)
-                uniq_values.append(None)
-                continue
-            ok, values = lookup(raw)
-            uniq_ok.append(ok)
-            uniq_values.append(values if ok else None)
-
-        if dictionary:
-            ok_unique = pa.array(uniq_ok, type=pa.bool_())
-            succeeded = np.asarray(pc.take(ok_unique, indices)) & attempted
-            # one masked index array instead of one if_else per leaf: rows
-            # that did not succeed take a NULL index, so every leaf take()
-            # yields null there for free
-            masked_indices = pc.if_else(
-                pa.array(succeeded), indices, pa.scalar(None, type=indices.type)
-            )
+        indices = np.asarray(pc.fill_null(enc.indices, 0)) if d else np.zeros(n, dtype=np.int32)
+        slot, records, is_v4, address_leaves = self._resolve(dictionary)
+        if d:
+            row_slot, row_v4 = slot[indices], is_v4[indices]
         else:
-            succeeded = np.zeros(n, dtype=bool)
-            masked_indices = None
+            row_slot, row_v4 = np.full(n, -1), np.zeros(n, dtype=bool)
+        self.kernel_rows += int((row_v4 & attempted).sum())
+        self.fallback_rows += int((~row_v4 & attempted).sum())
+        succeeded = (row_slot >= 0) & attempted
+        # rows that did not succeed take a NULL index, so every leaf take()
+        # yields null there for free
+        row_record = pa.array(row_slot, mask=~succeeded)
+        row_source = pa.array(indices, mask=~succeeded)
 
         leaf_arrays: List[Tuple[Tuple[str, ...], pa.Array]] = []
         seen_paths = {}
         for path, field in self._leaves:
-            t = _leaf_type(field) if not (path and path[-1] in ("lat", "lon") and field is Field.LOCATION) else pa.float64()
-            uniq_vals = [
-                _leaf_value(field, path, v) if v is not None else None for v in uniq_values
-            ]
-            arr_unique = pa.array(uniq_vals, type=t)
-            arr = (
-                pc.take(arr_unique, masked_indices) if dictionary else pa.nulls(n, type=t)
-            )
+            if field in address_leaves:
+                arr = address_leaves[field].take(row_source)
+            else:
+                t = _leaf_type(field) if not (path and path[-1] in ("lat", "lon") and field is Field.LOCATION) else pa.float64()
+                arr = pa.array([_leaf_value(field, path, v) for v in records], type=t).take(row_record)
             if path in seen_paths:
                 # ECS merge (geo.location.lat written by LOCATION then
                 # LATITUDE): later contributor wins where non-null
@@ -1004,6 +1080,20 @@ class GeoIPEnricher:
         batch = batch.append_column(self.target_column, target)
         batch = batch.append_column(self.tags_column, tags_arr)
         return batch
+
+
+def _network_strings(is_v4: np.ndarray, addrs: np.ndarray, prefix_len: np.ndarray) -> pa.Array:
+    """Java ``Network.toString()`` for IPv4 lookups, vectorized: the
+    network address of each ``addrs`` entry at its ``prefix_len``, as
+    ``a.b.c.d/len``, scattered to the positions ``is_v4`` marks (null
+    elsewhere)."""
+    keep = (np.uint64(0xFFFFFFFF) << (32 - prefix_len).astype(np.uint64)) & np.uint64(0xFFFFFFFF)
+    net = addrs.astype(np.uint64) & keep
+    octets = [pa.array((net >> np.uint64(shift)) & np.uint64(0xFF)).cast(pa.string()) for shift in (24, 16, 8, 0)]
+    text = pc.binary_join_element_wise(
+        pc.binary_join_element_wise(*octets, "."), pa.array(prefix_len).cast(pa.string()), "/"
+    )
+    return text.take(pa.array(np.cumsum(is_v4) - 1, mask=~is_v4))
 
 
 def _merge_targets(existing: pa.Array, computed: pa.Array, succeeded) -> pa.Array:

@@ -31,10 +31,14 @@ from __future__ import annotations
 import ipaddress
 import mmap
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
+
+import numpy as np
 
 METADATA_MARKER = b"\xab\xcd\xefMaxMind.com"
 DATA_SECTION_SEPARATOR_SIZE = 16
+#: data offset ``get_ipv4_batch`` reports for an address with no record
+NOT_FOUND = -1
 
 # data-section type tags (public spec §"Output Data Section")
 _T_EXTENDED = 0
@@ -78,6 +82,13 @@ class U16(int):
 
 class UBIG(int):
     """int decoded from MMDB uint64/uint128 (Java BigInteger — never a Long)."""
+
+
+class U32(int):
+    """int that ``mmdb_writer.build_mmdb`` stores as uint32 whatever its
+    magnitude (a plain int below 2^16 is stored as uint16, which the City
+    and Country models reject for Long fields such as ``geoname_id``). The
+    reader decodes uint32 as a plain int."""
 
 
 class _Decoder:
@@ -252,10 +263,12 @@ class MMDBReader:
         self._node_size = self.record_size // 4
         self._tree_size = self._node_size * self.node_count
         self._data_base = self._tree_size + DATA_SECTION_SEPARATOR_SIZE
-        if self._data_base > len(self._mmap):
+        if self.node_count < 0 or self._data_base > len(self._mmap):
             self.close()
             raise InvalidDatabaseError("The database provided is invalid or corrupted.")
         self._decoder = _Decoder(self._mmap, self._data_base)
+        # zero-copy byte view of the search tree for the batch walk
+        self._tree = np.frombuffer(self._mmap, dtype=np.uint8, count=self._tree_size)
 
         # IPv4 addresses enter an IPv6 tree at depth 96: follow 96 zero bits
         # once and remember the landing node.
@@ -313,13 +326,72 @@ class MMDBReader:
         if node == node_count:
             return None, depth0 + depth
         if node > node_count:
-            data_offset = node - node_count - DATA_SECTION_SEPARATOR_SIZE
-            if data_offset in self._decoder._cache:
-                return self._decoder._cache[data_offset], depth0 + depth
-            value, _ = self._decoder.decode(data_offset)
-            self._decoder._cache[data_offset] = value
-            return value, depth0 + depth
+            return self.record_at(node - node_count - DATA_SECTION_SEPARATOR_SIZE), depth0 + depth
         raise InvalidDatabaseError("tree walk ended inside the tree")
+
+    def record_at(self, data_offset: int) -> Any:
+        """Decoded record at a data-section offset (memoized per offset)."""
+        cache = self._decoder._cache
+        if data_offset in cache:
+            return cache[data_offset]
+        if data_offset < 0:
+            raise InvalidDatabaseError("record pointer %d before the data section" % data_offset)
+        value, _ = self._decoder.decode(data_offset)
+        cache[data_offset] = value
+        return value
+
+    def get_ipv4_batch(self, addrs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Longest-prefix lookup of many IPv4 addresses at once.
+
+        ``addrs`` holds the addresses as uint32. Walks all of them down the
+        tree together, one bit per step, gathering child records from the
+        mmap'd tree bytes. Returns ``(data_offset, prefix_len)`` as int64 and
+        int16 arrays with ``get``'s meaning of the prefix length (counted
+        from the IPv6 root in IPv6 trees). The offset is ``NOT_FOUND`` where
+        ``get`` returns no record or raises on the walk: no data, a walk that
+        ends inside the tree, or a pointer before the data section. Records
+        are decoded by the caller with ``record_at``."""
+        addrs = np.asarray(addrs, dtype=np.uint32)
+        node_count = self.node_count
+        depth0 = 96 if self.ip_version == 6 else 0
+        node = np.full(len(addrs), self._ipv4_start, dtype=np.int64)
+        depth = np.zeros(len(addrs), dtype=np.int16)
+        # the walks still inside the tree: their positions, nodes, addresses
+        live = np.flatnonzero(node < node_count)
+        cur, bits = node[live], addrs[live].astype(np.int64)
+        for step in range(32):
+            if not len(live):
+                break
+            cur = self._read_records(cur, (bits >> (31 - step)) & 1)
+            done = cur >= node_count
+            if done.any():
+                node[live[done]] = cur[done]
+                depth[live[done]] = step + 1
+                stay = ~done
+                live, cur, bits = live[stay], cur[stay], bits[stay]
+        node[live] = cur  # walks that ended inside the tree
+        depth[live] = 32
+        offset = node - (node_count + DATA_SECTION_SEPARATOR_SIZE)
+        offset[(node <= node_count) | (offset < 0)] = NOT_FOUND
+        return offset, depth + depth0
+
+    def _read_records(self, node: np.ndarray, bit: np.ndarray) -> np.ndarray:
+        """Vectorized ``_read_record``: record ``bit`` of each node."""
+        tree = self._tree
+        rs = self.record_size
+        if rs == 32:
+            return tree.view(">u4")[node * 2 + bit].astype(np.int64)
+        if rs == 28:  # the middle byte holds both records' high nibbles
+            base = node * 7
+            at = base + bit * 4
+            mid = tree[base + 3].astype(np.int64)
+            value = np.where(bit == 1, mid & 0x0F, mid >> 4) << 24
+        else:
+            at = node * 6 + bit * 3
+            value = np.zeros(len(node), dtype=np.int64)
+        for k in range(3):
+            value |= tree[at + k].astype(np.int64) << (16 - 8 * k)
+        return value
 
     def networks(self, ipv4_only: bool = True):
         """Yield ``(ipaddress.ip_network, record)`` for every data-bearing
@@ -335,11 +407,7 @@ class MMDBReader:
             if node >= self.node_count:
                 if node == self.node_count:
                     continue
-                data_offset = node - self.node_count - DATA_SECTION_SEPARATOR_SIZE
-                record = self._decoder._cache.get(data_offset)
-                if record is None:
-                    record, _ = self._decoder.decode(data_offset)
-                    self._decoder._cache[data_offset] = record
+                record = self.record_at(node - self.node_count - DATA_SECTION_SEPARATOR_SIZE)
                 if ipv4_only:
                     addr = ipaddress.IPv4Address(prefix << (32 - depth))
                 elif self.ip_version == 6:
@@ -357,6 +425,7 @@ class MMDBReader:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
+        self._tree = None  # release the buffer export, or mmap.close() fails
         try:
             if getattr(self, "_mmap", None) is not None:
                 self._mmap.close()
@@ -369,6 +438,21 @@ class MMDBReader:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def resolve_distinct(offsets: np.ndarray, resolve: Callable[[int], Any]) -> Tuple[np.ndarray, list]:
+    """Call ``resolve`` once per distinct data offset of a batch lookup.
+    Returns ``(slot, values)``: the non-None results in order, and each
+    offset's index into them (-1 for ``NOT_FOUND`` or a None result)."""
+    distinct, inverse = np.unique(offsets, return_inverse=True)
+    values: list = []
+    slots = np.full(len(distinct), -1, dtype=np.int64)
+    for i, offset in enumerate(distinct.tolist()):
+        value = None if offset == NOT_FOUND else resolve(offset)
+        if value is not None:
+            slots[i] = len(values)
+            values.append(value)
+    return slots[inverse], values
 
 
 def is_database_valid(path: str) -> bool:

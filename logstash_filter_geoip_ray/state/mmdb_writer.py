@@ -17,7 +17,8 @@ Implementation notes:
   emitted inline once per distinct record);
 - supported value types: str, bool, int (uint16/32/64/128 by magnitude;
   negative → int32, so the encodable range is [-2^31, 2^128) — out-of-range
-  ints raise TypeError at build time), float (double), dict, list.
+  ints raise TypeError at build time; ``mmdb.U32`` forces uint32), float
+  (double), dict, list.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import struct
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .mmdb import DATA_SECTION_SEPARATOR_SIZE, METADATA_MARKER
+from .mmdb import DATA_SECTION_SEPARATOR_SIZE, METADATA_MARKER, U32
 
 
 def _encode_value(value) -> bytes:
@@ -46,9 +47,11 @@ def _encode_value(value) -> bytes:
             raise TypeError(
                 "MMDB integer out of encodable range [-2^31, 2^128): %r" % value
             )
+        if isinstance(value, U32) and not 0 <= value < (1 << 32):
+            raise TypeError("U32 out of range [0, 2^32): %r" % value)
         if value < 0:
             return bytes([(0 << 5) | 4, 8 - 7]) + struct.pack(">i", value)
-        if value < (1 << 16):
+        if value < (1 << 16) and not isinstance(value, U32):
             payload = value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
             return _ctrl(5, len(payload)) + payload
         if value < (1 << 32):

@@ -2,11 +2,24 @@
 (GeoIPFilterTest.java) and RSpec failure matrix (geoip_offline_spec.rb),
 parameterized over ECS on/off, run through the batch enricher."""
 
+import ipaddress
+
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logstash_filter_geoip_ray.functions.config import GeoIPConfig
-from logstash_filter_geoip_ray.stages.enrich import GeoIPEnricher, GeoIPLookup
+from logstash_filter_geoip_ray.functions.fields import Field
+from logstash_filter_geoip_ray.stages.enrich import (
+    GeoIPEnricher,
+    GeoIPLookup,
+    _leaf_value,
+    output_leaves,
+)
+from logstash_filter_geoip_ray.state.mmdb import METADATA_MARKER, U32, MMDBReader
+from logstash_filter_geoip_ray.state.mmdb_writer import _encode_value, build_mmdb
 
 FAILURE_TAG = ["_geoip_lookup_failure"]
 
@@ -622,3 +635,164 @@ def test_target_merge_nested_ecs(db_paths):
     assert ok["client"]["geo"]["city_name"] == "Milton"    # nested added
     assert failed["client"]["extra"] == "e2"
     assert failed["client"]["geo"]["note"] == "gkeep2"     # untouched on failure
+
+
+# ---------------------------------------------------------------------------
+# Batch path vs scalar lookup: the IPv4 tree walk must give, row for row,
+# what GeoIPLookup._lookup_uncached gives each source string.
+# ---------------------------------------------------------------------------
+
+#: strings the IPv4 regex must reject, so they take the scalar fallback
+FALLBACK_STRINGS = ["01.2.3.4", " 1.2.3.4", "1.2.3.4 ", "1.2.3", "256.1.1.1",
+                    "١.٢.٣.٤", "::ffff:1.2.3.4"]
+#: edges, E22-corrupt (216.160.83.60), E5 City abort (2.3.3.1, 214.1.1.1),
+#: ASN and Enterprise networks (12.81.92.1, 74.209.24.1)
+PINNED = FALLBACK_STRINGS + [
+    "0.0.0.0", "255.255.255.255", "216.160.83.60", "2.3.3.1", "214.1.1.1",
+    "12.81.92.1", "74.209.24.1", "216.160.83.58", "1.128.0.1", "81.2.69.1",
+    "1.2.0.1", "::1", "2a02:d5c0::", "2001:db8::1",
+]
+ALL_FIELDS = tuple(f.name.lower() for f in Field)
+
+
+def _built_entries():
+    """City/Enterprise-shaped records on nested IPv4 networks (plus edges
+    and one IPv6 network): valid, no coordinates (E5) and a uint16
+    geoname_id (E22)."""
+    def rec(i):
+        return {
+            "city": {"geoname_id": U32(i + 1), "names": {"en": "City%d" % i}},
+            "continent": {"code": "EU", "geoname_id": U32(6255148), "names": {"en": "Europe"}},
+            "country": {"geoname_id": U32(100 + i % 7), "iso_code": "C%d" % (i % 7),
+                        "names": {"en": "Country%d" % (i % 7)}},
+            "location": {"latitude": float(i) / 3, "longitude": -float(i) / 7,
+                         "time_zone": "Zone/%d" % i, "metro_code": i},
+            "subdivisions": [{"geoname_id": U32(7), "iso_code": "S%d" % i,
+                              "names": {"en": "Sub%d" % i}}],
+            "traits": {"autonomous_system_number": U32(64500 + i),
+                       "autonomous_system_organization": "AS%d" % i,
+                       "is_anonymous": i % 2 == 0},
+        }
+    entries = [("0.0.0.0/16", rec(0)), ("255.255.255.255/32", rec(1)),
+               ("2001:db8::/32", rec(2))]
+    for i in range(3, 40):
+        entries.append(("%d.%d.0.0/%d" % (11 + 5 * i, i, 8 + i % 9), rec(i)))
+        entries.append(("%d.%d.%d.0/24" % (11 + 5 * i, i, i), rec(i + 40)))
+        entries.append(("%d.%d.%d.%d/32" % (11 + 5 * i, i, i, i), rec(i + 80)))
+    entries.append(("2.3.3.0/24", {"continent": {"code": "EU"}}))  # E5
+    entries.append(("216.160.83.60/32", dict(rec(9), city={"geoname_id": 5})))  # E22
+    return entries
+
+
+def _repack(src: str, dst: str, record_size: int) -> str:
+    """Rewrite a 32-bit ``build_mmdb`` file with 24- or 28-bit records."""
+    with MMDBReader(src) as r:
+        records = [(r._read_record(i, 0), r._read_record(i, 1)) for i in range(r.node_count)]
+        buf = bytes(r._mmap)
+        rest = buf[r._tree_size:buf.rfind(METADATA_MARKER)]  # separator + data
+        metadata = dict(r.metadata, record_size=record_size)
+    tree = bytearray()
+    for left, right in records:
+        if record_size == 24:
+            tree += left.to_bytes(3, "big") + right.to_bytes(3, "big")
+        else:  # 28 bits: the middle byte holds both high nibbles
+            tree += (left & 0xFFFFFF).to_bytes(3, "big")
+            tree.append(((left >> 24) << 4) | (right >> 24))
+            tree += (right & 0xFFFFFF).to_bytes(3, "big")
+    with open(dst, "wb") as f:
+        f.write(bytes(tree) + rest + METADATA_MARKER + _encode_value(metadata))
+    return dst
+
+
+@pytest.fixture(scope="module")
+def diff_dbs(db_paths, tmp_path_factory):
+    d = tmp_path_factory.mktemp("diffdb")
+    paths = dict(db_paths)
+    for db_type in ("GeoIP2-City", "GeoIP2-Enterprise"):
+        key = db_type.split("-")[1].lower()
+        paths["built32_" + key] = build_mmdb(_built_entries(), str(d / (key + "32.mmdb")),
+                                             database_type=db_type)
+        paths["built24_" + key] = _repack(paths["built32_" + key], str(d / (key + "24.mmdb")), 24)
+    paths["built28_city"] = _repack(paths["built32_city"], str(d / "city28.mmdb"), 28)
+    return paths
+
+
+_ENRICHERS: dict = {}
+
+
+def _differential_enricher(path, fields, ecs):
+    key = (path, fields, ecs)
+    if key not in _ENRICHERS:
+        cfg = GeoIPConfig(source="message", database=path, fields=fields,
+                          ecs_compatibility="v1" if ecs else "disabled", target="out")
+        enricher = GeoIPEnricher(cfg)
+        enricher._ensure_open()
+        with MMDBReader(path) as r:
+            nets = [n for n, _ in r.networks()]
+        _ENRICHERS[key] = (enricher, nets)
+    return _ENRICHERS[key]
+
+
+def _scalar_row(lookup, leaves, raw):
+    """(target, tags) that the scalar lookup gives one source string."""
+    attempted = raw is not None and pc.utf8_trim_whitespace(pa.scalar(raw)).as_py() != ""
+    if not attempted:
+        return None, FAILURE_TAG
+    ok, values = lookup._lookup_uncached(raw)
+    target: dict = {}
+    for path, field in leaves:
+        value = _leaf_value(field, path, values) if ok else None
+        node = target
+        for frag in path[:-1]:
+            node = node.setdefault(frag, {})
+        if value is not None or path[-1] not in node:
+            node[path[-1]] = value  # a later non-null contributor wins
+
+    def prune(node):  # a nested struct with no value below it is null
+        if not isinstance(node, dict):
+            return node
+        node = {k: prune(v) for k, v in node.items()}
+        return node if any(v is not None for v in node.values()) else None
+
+    return {k: prune(v) for k, v in target.items()}, None if ok else FAILURE_TAG
+
+
+def _v4(a: int) -> str:
+    return str(ipaddress.IPv4Address(a))
+
+
+@pytest.mark.parametrize("ecs", [False, True])
+@pytest.mark.parametrize("fields", [None, ALL_FIELDS], ids=["default", "all"])
+@pytest.mark.parametrize("db_key", [
+    "city", "city_lite", "country", "country_lite", "asn", "isp", "domain",
+    "enterprise", "anonymous", "built32_city", "built24_city", "built28_city",
+    "built32_enterprise", "built24_enterprise",
+])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_batch_path_matches_scalar_lookup(diff_dbs, db_key, fields, ecs, data):
+    enricher, nets = _differential_enricher(diff_dbs[db_key], fields, ecs)
+    inside = st.sampled_from(nets).flatmap(
+        lambda n: st.integers(int(n.network_address), int(n.broadcast_address))
+    ).map(_v4)
+    values = PINNED + data.draw(st.lists(st.one_of(
+        inside, inside.map(lambda s: "::ffff:" + s), st.integers(0, 2**32 - 1).map(_v4),
+        st.text(max_size=12), st.none(),
+    ), max_size=40))
+    rows = enricher(pa.table({"message": pa.array(values, type=pa.string())})).to_pylist()
+    lookup = enricher._lookup
+    leaves = output_leaves(lookup.effective, ecs)
+    for raw, row in zip(values, rows):
+        assert (row["out"], row["tags"]) == _scalar_row(lookup, leaves, raw), raw
+
+
+def test_kernel_and_fallback_row_counters(db_paths):
+    """All-IPv4 batches never reach the scalar fallback; a mixed batch
+    sends exactly its attempted non-IPv4 rows there."""
+    enricher = GeoIPEnricher(GeoIPConfig(source="message", database=db_paths["city"]))
+    enricher(pa.table({"message": ["216.160.83.58", "0.0.0.0", "216.160.83.58", "1.2.3.4"]}))
+    assert (enricher.kernel_rows, enricher.fallback_rows) == (4, 0)
+    mixed = ["216.160.83.58", "::ffff:216.160.83.58", "2a02:d5c0::", "N/A", None, "",
+             " 1.2.3.4", "01.2.3.4", "81.2.69.142", "N/A"]
+    enricher(pa.table({"message": pa.array(mixed, type=pa.string())}))
+    assert (enricher.kernel_rows, enricher.fallback_rows) == (4 + 2, 6)

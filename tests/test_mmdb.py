@@ -106,3 +106,55 @@ def test_missing_file(tmp_path):
 def test_valid_files(db_paths):
     for path in db_paths.values():
         assert is_database_valid(path)
+
+
+def test_ipv4_batch_walk_matches_get(db_paths):
+    """The vectorized walk lands on the record ``get`` decodes, with the
+    same prefix length, for addresses inside, at the edges of and outside
+    every IPv4 network of the 28-bit fixtures."""
+    import ipaddress
+
+    import numpy as np
+
+    from logstash_filter_geoip_ray.state.mmdb import NOT_FOUND
+
+    rng = np.random.default_rng(7)
+    for path in db_paths.values():
+        with MMDBReader(path) as r:
+            addrs = [0, 2**32 - 1] + rng.integers(0, 2**32, 200).tolist()
+            for net, _ in r.networks():
+                first = int(net.network_address)
+                addrs += [first, first + net.num_addresses - 1, max(0, first - 1)]
+            offsets, prefix = r.get_ipv4_batch(np.array(addrs, dtype=np.uint32))
+            for a, off, plen in zip(addrs, offsets.tolist(), prefix.tolist()):
+                rec, want_plen = r.get(ipaddress.IPv4Address(a))
+                assert (None if off == NOT_FOUND else r.record_at(off)) == rec, (path, a)
+                if rec is not None:
+                    assert plen == want_plen, (path, a)
+
+
+@pytest.mark.parametrize("record_size", [24, 28, 32])
+def test_ipv4_batch_walk_record_sizes(tmp_path, record_size):
+    """Hand-packed one-node IPv4 trees: both records are data pointers with
+    every bit of the record width in use (the 28-bit high nibbles too)."""
+    import numpy as np
+
+    from logstash_filter_geoip_ray.state.mmdb import METADATA_MARKER
+    from logstash_filter_geoip_ray.state.mmdb_writer import _encode_value
+
+    top = 1 << record_size
+    left, right = top - 0x10EDCB, top // 2 + 0x123456
+    if record_size == 28:
+        node = (left & 0xFFFFFF).to_bytes(3, "big") + bytes([((left >> 24) << 4) | (right >> 24)]) \
+            + (right & 0xFFFFFF).to_bytes(3, "big")
+    else:
+        node = left.to_bytes(record_size // 8, "big") + right.to_bytes(record_size // 8, "big")
+    meta = {"node_count": 1, "record_size": record_size, "ip_version": 4,
+            "database_type": "Test", "binary_format_major_version": 2}
+    path = tmp_path / "t.mmdb"
+    path.write_bytes(node + b"\x00" * 16 + METADATA_MARKER + _encode_value(meta))
+    with MMDBReader(str(path)) as r:
+        assert (r._read_record(0, 0), r._read_record(0, 1)) == (left, right)
+        offsets, prefix = r.get_ipv4_batch(np.array([0x7FFFFFFF, 0x80000000], dtype=np.uint32))
+        assert offsets.tolist() == [left - 17, right - 17]
+        assert prefix.tolist() == [1, 1]

@@ -3,6 +3,7 @@
 import pyarrow as pa
 import pytest
 
+from logstash_filter_geoip_ray.functions.fields import Field
 from logstash_filter_geoip_ray.state.mmdb import MMDBReader
 from logstash_filter_geoip_ray.state.mmdb_writer import (
     build_mmdb,
@@ -126,3 +127,53 @@ def test_custom_lookup_null_source_no_slot0_alias(tmp_path):
     col = out["lookup"].combine_chunks()
     assert col.is_valid().to_pylist() == [True, False, True]
     assert col[0].as_py() == {"org": "internal"}
+
+
+def test_u32_geoname_id_city_record(tmp_path):
+    """A small ``geoname_id`` stored as uint16 fails the City model's Long
+    check; ``U32`` stores it as uint32 and the record comes back."""
+    from logstash_filter_geoip_ray.functions.config import GeoIPConfig
+    from logstash_filter_geoip_ray.stages.enrich import GeoIPLookup
+    from logstash_filter_geoip_ray.state.mmdb import U32
+
+    def city_db(name, geoname_id):
+        record = {"city": {"geoname_id": geoname_id, "names": {"en": "Five"}},
+                  "location": {"latitude": 1.5, "longitude": 2.5}}
+        return build_mmdb([("5.5.5.0/24", record)], str(tmp_path / name),
+                          database_type="GeoIP2-City")
+
+    lookup = GeoIPLookup(GeoIPConfig(source="x", database=city_db("u32.mmdb", U32(5))))
+    ok, values = lookup.lookup("5.5.5.5")
+    assert ok and values[Field.CITY_NAME] == "Five"
+    with MMDBReader(lookup.config.database) as r:
+        assert type(r.get("5.5.5.5")[0]["city"]["geoname_id"]) is int  # uint32
+    plain = GeoIPLookup(GeoIPConfig(source="x", database=city_db("u16.mmdb", 5)))
+    assert plain.lookup("5.5.5.5") == (False, None)
+    with pytest.raises(TypeError, match="U32 out of range"):
+        build_mmdb([("5.5.5.0/24", {"x": U32(1 << 32)})], str(tmp_path / "big.mmdb"))
+
+
+def test_custom_lookup_truncated_record_is_a_miss(tmp_path):
+    """A record pointer to a double cut short by the end of the file fails
+    to decode with struct.error: a per-row miss on both the batch walk and
+    the scalar path, not a failed batch."""
+    import numpy as np
+
+    from logstash_filter_geoip_ray.stages.custom_lookup import CustomMMDBEnricher
+
+    path = tmp_path / "cut.mmdb"
+    build_mmdb([("1.2.3.0/24", {"org": "bad"}), ("9.9.9.0/24", {"org": "good"})], str(path))
+    with MMDBReader(str(path)) as r:
+        offset = int(r.get_ipv4_batch(np.array([0x01020304], dtype=np.uint32))[0][0])
+        old = (r.node_count + 16 + offset).to_bytes(4, "big")
+        data_base, size = r._data_base, len(r._mmap)
+    raw = bytearray(path.read_bytes()) + bytes([0x68])  # double ctrl byte, no payload
+    new = (r.node_count + 16 + size - data_base).to_bytes(4, "big")
+    at = raw.index(old)
+    assert at % 4 == 0 and raw.count(old) == 1
+    raw[at:at + 4] = new
+    path.write_bytes(bytes(raw))
+
+    enricher = CustomMMDBEnricher(str(path), {"org": pa.string()})
+    out = enricher(pa.table({"source_ip": ["1.2.3.4", "::ffff:1.2.3.4", "9.9.9.9"]}))
+    assert out["lookup"].to_pylist() == [None, None, {"org": "good"}]
