@@ -954,13 +954,18 @@ def simhash_signatures(ds, text_col: str = "text", id_col: str = "doc_id"):
 JACCARD_MAX_BLOCK_ROWS = 5000
 
 
-def _check_block_cap(n: int, key, max_rows: int, fn_name: str) -> None:
+def _check_block_cap(
+    n: int, key, max_rows: int, fn_name: str, cap_name: str = "max_block_rows"
+) -> None:
+    """Raise when block ``key`` has ``n`` rows over the cap ``cap_name``
+    (the caller's keyword, named in the message so it says what to raise)."""
     if n > max_rows:
         raise ValueError(
-            "%s: block %r has %d rows (> max_block_rows=%d) — the all-pairs "
+            "%s: block %r has %d rows (> %s=%d) — the all-pairs "
             "validator is O(n²) per block and exists as an oracle cross-check;"
             " use the MinHash+LSH path (minhash_lsh_pairs) for skewed/large "
-            "blocks, or raise max_block_rows explicitly" % (fn_name, key, n, max_rows)
+            "blocks, or raise %s explicitly"
+            % (fn_name, key, n, cap_name, max_rows, cap_name)
         )
 
 
@@ -1445,6 +1450,7 @@ def semdedup_clustered_pairs(
             int(group["cluster"].iloc[0]) if len(group) else None,
             max_cluster_rows,
             "semdedup_clustered_pairs",
+            "max_cluster_rows",
         )
         empty = pd.DataFrame({"a": pd.Series(dtype="int64"),
                               "b": pd.Series(dtype="int64")})
@@ -2850,6 +2856,7 @@ def containment_pairs_by_block(
             group[block_col].iloc[0] if len(group) else None,
             max_block_tokens,
             "containment_pairs_by_block",
+            "max_block_tokens",
         )
         if not len(ex):
             return empty
@@ -2860,6 +2867,7 @@ def containment_pairs_by_block(
             group[block_col].iloc[0] if len(group) else None,
             max_merge_rows,
             "containment_pairs_by_block (predicted Σ df(w)² merge rows)",
+            "max_merge_rows",
         )
         sizes = ex.groupby(id_col).size()
         m = ex.merge(ex, on="w", suffixes=("_x", "_y"))

@@ -5029,3 +5029,27 @@ def test_containment_merge_size_guard(ray_session):
     # for the shared-stopword block: inter=1 pairs filtered by threshold
     ok = containment_pairs_by_block(ds, max_merge_rows=10 * n * n).to_pandas()
     assert len(ok) == 0  # 1/3 containment < 8/10 threshold for every pair
+
+
+def test_containment_merge_cap_error_names_its_keyword(ray_session):
+    """The predicted-merge guard reports the cap that tripped
+    (max_merge_rows), not the block-rows cap of the all-pairs validators."""
+    import ray.data
+
+    from logstash_filter_geoip_ray.stages.dedup import (
+        containment_pairs_by_block,
+    )
+
+    n = 20
+    tbl = pa.table(
+        {
+            "doc_id": pa.array(range(n), type=pa.int64()),
+            "source": ["s"] * n,
+            "text": ["the unique%d" % i for i in range(n)],
+        }
+    )
+    with pytest.raises(ValueError, match="max_merge_rows=10") as err:
+        containment_pairs_by_block(
+            ray.data.from_arrow(tbl), max_merge_rows=10
+        ).to_pandas()
+    assert "max_block_rows" not in str(err.value)

@@ -705,9 +705,6 @@ def test_fuzz_ipc_fanout_run_boundaries(tmp_path_factory, keys):
     """Property: the fan-out's vectorized run-boundary split (sort + adjacent
     inequality with null-edge handling) lands every row in exactly the sink
     a pandas groupby reference assigns it, including null keys."""
-    import glob
-    import os
-
     import pyarrow as pa
 
     from logstash_filter_geoip_ray.pipelines import geoip_pipeline as gp
@@ -731,15 +728,15 @@ def test_fuzz_ipc_fanout_run_boundaries(tmp_path_factory, keys):
         .to_dict()
     )
     got = {}
-    for f in glob.glob(staging + "/country=*/tool=*/*.arrow"):
-        rel = os.path.relpath(f, staging)
-        c = rel.split("country=")[1].split("/")[0]
-        t = rel.split("tool=")[1].split("/")[0]
+    for r in out.to_pylist():
+        c = r["sink"].split("country=")[1].split("/")[0]
+        t = r["sink"].split("tool=")[1].split("/")[0]
         c = None if c == "__HIVE_DEFAULT_PARTITION__" else c
-        with pa.OSFile(f, "rb") as fh:
-            vs = pa.ipc.open_stream(fh).read_all()["v"].to_pylist()
+        with pa.OSFile(r["file"], "rb") as fh:
+            b = pa.ipc.open_file(fh).get_batch(r["batch"])
+        assert b.num_rows == r["rows"]
         key = (c, t)
-        got[key] = sorted(got.get(key, []) + vs)
+        got[key] = sorted(got.get(key, []) + b["v"].to_pylist())
     ref = {(None if (isinstance(k[0], float) or k[0] is None) else k[0], k[1]): v
            for k, v in ref.items()}
     assert got == ref

@@ -302,15 +302,20 @@ def test_ipc_fanout_retry_idempotent(tmp_path):
     fn(batch)
     files1 = sorted(glob.glob(str(tmp_path) + "/**/*.arrow", recursive=True))
     gp._FANOUT_TASK_SEQ.clear()  # retry = fresh worker: counter resets
-    fn(batch)
+    report = fn(batch)
     files2 = sorted(glob.glob(str(tmp_path) + "/**/*.arrow", recursive=True))
     assert files1 == files2  # identical names -> overwrite, no duplicates
-    assert len(files1) == 3  # one run file per (country, tool) sink
+    assert len(files1) == 1  # one staged file per call
+    # one batch per (country, tool) sink run
+    assert report["sink"].to_pylist() == [
+        "country=DE/tool=b", "country=US/tool=a", "country=US/tool=b"
+    ]
+    assert report["batch"].to_pylist() == [0, 1, 2]
     # rows survive exactly once
     total = 0
     for p in files2:
         with pa.OSFile(p, "rb") as f:
-            total += pa.ipc.open_stream(f).read_all().num_rows
+            total += pa.ipc.open_file(f).read_all().num_rows
     assert total == 3
     # no tmp strays after clean publishes
     assert not glob.glob(str(tmp_path) + "/**/*.tmp", recursive=True)
@@ -1098,3 +1103,246 @@ def test_resumable_write_clears_stale_parts_before_rerun(ray_session, tmp_path):
         for f in glob.glob(out + "/**/*.parquet", recursive=True)
     )
     assert total == rows
+
+
+def _sink_digests(root):
+    """{sink file relative to ``root``: md5} over a routed write's output."""
+    import glob
+    import hashlib
+
+    out = {}
+    for f in sorted(glob.glob(root + "/**/*.parquet", recursive=True)):
+        with open(f, "rb") as fh:
+            out[os.path.relpath(f, root)] = hashlib.md5(fh.read()).hexdigest()
+    return out
+
+
+def test_resumable_write_after_input_set_changes(ray_session, tmp_path):
+    """A first run fails in phase 1 after three of four shards commit; then
+    one committed input shard is deleted and another renamed. The rerun on
+    the same out_dir reads only the current inputs' manifests, so its sinks
+    are byte-identical to a clean run over the new input set — the deleted
+    shard's and the old name's staged rows never reach the output."""
+    import glob
+    import shutil
+    import time
+
+    import pyarrow.parquet as pq
+
+    from logstash_filter_geoip_ray.pipelines.geoip_pipeline import (
+        _default_routed_shard_fn,
+        default_config,
+        write_routed_bucketed_resumable,
+    )
+
+    src = sorted(glob.glob(os.path.join(transcripts_path(SF, rows=200_000),
+                                        "*.parquet")))
+    assert len(src) == 4
+    input_dir = str(tmp_path / "in")
+    os.makedirs(input_dir)
+    for p in src:
+        shutil.copy(p, input_dir)
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in src]
+    out = str(tmp_path / "out")
+    man_glob = os.path.join(out, "_staging", "_manifests", "*.json")
+    inner = _default_routed_shard_fn(default_config())
+
+    def fail_last(path):
+        if os.path.basename(path) == stems[-1] + ".parquet":
+            deadline = time.time() + 60
+            while len(glob.glob(man_glob)) < 3 and time.time() < deadline:
+                time.sleep(0.05)
+            raise RuntimeError("planted shard failure")
+        return inner(path)
+
+    with pytest.raises(Exception, match="planted shard failure"):
+        write_routed_bucketed_resumable(input_dir, out, shard_fn=fail_last)
+    assert sorted(os.path.basename(m) for m in glob.glob(man_glob)) == [
+        s + ".json" for s in stems[:3]
+    ]
+
+    os.remove(os.path.join(input_dir, stems[0] + ".parquet"))
+    os.rename(os.path.join(input_dir, stems[1] + ".parquet"),
+              os.path.join(input_dir, "renamed.parquet"))
+    _, files, summary = write_routed_bucketed_resumable(input_dir, out)
+    assert summary["shards_skipped"] == 1  # stems[2] stays committed
+    assert summary["shards_processed"] == 2  # the renamed and the failed one
+    assert summary["rows"] == sum(
+        pq.ParquetFile(p).metadata.num_rows for p in src[1:]
+    )
+
+    clean = str(tmp_path / "clean")
+    _, files_clean, _ = write_routed_bucketed_resumable(input_dir, clean)
+    got, want = _sink_digests(out), _sink_digests(clean)
+    assert want and got == want
+    assert files == files_clean == len(want)
+
+
+def test_resumable_write_ignores_unmanifested_staged_files(ray_session, tmp_path):
+    """Staged files no manifest names are never read: a garbage
+    ``_staging/<stem>.arrow`` left by a crashed attempt is overwritten by
+    the rerun, and one whose stem is not an input is ignored. The output is
+    byte-identical to a clean run, and each sink is one row group whose
+    rows total the sink_counts aggregate."""
+    import pyarrow.parquet as pq
+
+    from logstash_filter_geoip_ray.pipelines.geoip_pipeline import (
+        write_routed_bucketed_resumable,
+    )
+
+    rows = 200_000
+    input_dir = transcripts_path(SF, rows=rows)
+    clean = str(tmp_path / "clean")
+    write_routed_bucketed_resumable(input_dir, clean)
+
+    out = str(tmp_path / "garbage")
+    staging = os.path.join(out, "_staging")
+    os.makedirs(os.path.join(staging, "_manifests"))
+    stem0 = sorted(os.listdir(input_dir))[0].rsplit(".", 1)[0]
+    for stem in (stem0, "not-an-input"):
+        with open(os.path.join(staging, stem + ".arrow"), "wb") as f:
+            f.write(b"not-an-ipc-file")
+    _, files, summary = write_routed_bucketed_resumable(input_dir, out)
+    assert summary["shards_processed"] == 4
+    digests = _sink_digests(out)
+    assert digests == _sink_digests(clean) and files == len(digests)
+
+    expected = {
+        (r["country"], r["tool"]): r["n"]
+        for _, r in sink_counts(build_enriched(SF, rows=rows)).to_pandas().iterrows()
+    }
+    got = {}
+    for rel in digests:
+        meta = pq.ParquetFile(os.path.join(out, rel)).metadata
+        assert meta.num_row_groups == 1, rel
+        c, t = (part.split("=", 1)[1] for part in rel.split("/")[:2])
+        got[(c, t)] = meta.num_rows
+    assert got == expected
+
+
+def test_resumable_hot_sink_splits_balanced_by_rows(ray_session, tmp_path):
+    """Salted parts go to splits greedily by their manifest row counts. In
+    the planted hot sink, shard 0 holds most of the rows: it gets a split
+    of its own, and the other seven runs make up the second. Assigning by
+    file count (every other part) would give 8,400 vs 1,120 rows, a gap
+    larger than the biggest part; here the gap stays under one part."""
+    import pyarrow.parquet as pq
+
+    from logstash_filter_geoip_ray.pipelines.geoip_pipeline import (
+        write_routed_bucketed_resumable,
+    )
+
+    hot = [6000, 1000, 900, 50, 800, 40, 700, 30]
+    input_dir = str(tmp_path / "in")
+    os.makedirs(input_dir)
+    turn = 0
+    for i, n_hot in enumerate(hot):
+        n = n_hot + 100  # 100 cold rows per shard
+        pq.write_table(
+            pa.table(
+                {
+                    "country": ["US"] * n_hot + ["DE"] * 100,
+                    "tool": ["grep"] * n_hot + ["bash"] * 100,
+                    "turn_idx": pa.array(range(turn, turn + n), type=pa.int64()),
+                }
+            ),
+            os.path.join(input_dir, "shard-%02d.parquet" % i),
+        )
+        turn += n
+    out = str(tmp_path / "out")
+    _, files, _ = write_routed_bucketed_resumable(
+        input_dir, out, shard_fn=pq.read_table, hot_sink_rows=5_000
+    )
+    assert files == 3
+    cold = pq.read_table(os.path.join(out, "country=DE", "tool=bash"))
+    assert cold.num_rows == 800
+    splits = []
+    for name in ("part-00000.parquet", "part-00001.parquet"):
+        t = pq.read_table(os.path.join(out, "country=US", "tool=grep", name))
+        idx = t["turn_idx"].to_pylist()
+        assert idx == sorted(idx)  # shard order kept within each split
+        splits.append(t.num_rows)
+    assert sorted(splits) == [sum(hot) - hot[0], hot[0]]
+    assert max(splits) - min(splits) <= max(hot)
+
+
+def test_compact_outputs_writes_full_row_groups(tmp_path, monkeypatch):
+    """The compactor coalesces a sink's staged batches into full row groups
+    (only the last is partial), reading each run by its batch index."""
+    import pyarrow.parquet as pq
+
+    from logstash_filter_geoip_ray.pipelines import geoip_pipeline as gp
+
+    monkeypatch.setattr(gp, "_ROW_GROUP_ROWS", 100)
+    staged = []
+    for k in range(3):  # three shards, each with runs of two sinks
+        path = str(tmp_path / ("shard-%d.arrow" % k))
+        with pa.OSFile(path, "wb") as f, pa.ipc.new_file(
+            f, pa.schema([("v", pa.int64())])
+        ) as w:
+            w.write_batch(pa.record_batch([pa.array([-1] * 7)], names=["v"]))
+            w.write_batch(pa.record_batch(
+                [pa.array(range(k * 90, (k + 1) * 90))], names=["v"]))
+        staged.append(path)
+    parts = [(p, 1, 90) for p in staged]
+    assert gp._compact_outputs(str(tmp_path), [("s=a", "x.parquet", parts, 270)]) == 1
+    f = pq.ParquetFile(str(tmp_path / "s=a" / "x.parquet"))
+    sizes = [f.metadata.row_group(i).num_rows for i in range(f.metadata.num_row_groups)]
+    assert sizes == [100, 100, 70]
+    assert f.read()["v"].to_pylist() == list(range(270))
+
+
+def test_compact_outputs_caps_row_group_bytes(tmp_path, monkeypatch):
+    """A row group is also cut once the buffered batches reach
+    ``_ROW_GROUP_BYTES``, so a task's buffer stays bounded on wide rows
+    whatever the row cap."""
+    import pyarrow.parquet as pq
+
+    from logstash_filter_geoip_ray.pipelines import geoip_pipeline as gp
+
+    monkeypatch.setattr(gp, "_ROW_GROUP_BYTES", 1000)  # 90 int64s: 720 B
+    path = str(tmp_path / "shard.arrow")
+    with pa.OSFile(path, "wb") as f, pa.ipc.new_file(
+        f, pa.schema([("v", pa.int64())])
+    ) as w:
+        for k in range(3):
+            w.write_batch(pa.record_batch(
+                [pa.array(range(k * 90, (k + 1) * 90))], names=["v"]))
+    parts = [(path, k, 90) for k in range(3)]
+    assert gp._compact_outputs(str(tmp_path), [("s=a", "x.parquet", parts, 270)]) == 1
+    f = pq.ParquetFile(str(tmp_path / "s=a" / "x.parquet"))
+    sizes = [f.metadata.row_group(i).num_rows for i in range(f.metadata.num_row_groups)]
+    assert sizes == [180, 90]
+    assert f.read()["v"].to_pylist() == list(range(270))
+
+
+def test_stage_runs_keeps_runs_that_span_chunks(tmp_path):
+    """A payload column Arrow keeps in several chunks (a string column past
+    2 GiB) is staged as one batch per chunk of each run, and the returned
+    (sink, rows) list names every batch, so a compacted sink loses no row.
+    Planted: a three-chunk payload whose middle run spans all three."""
+    import pyarrow.parquet as pq
+
+    from logstash_filter_geoip_ray.pipelines import geoip_pipeline as gp
+
+    payload = pa.Table.from_batches([
+        pa.record_batch([pa.array(range(a, b))], names=["v"])
+        for a, b in ((0, 5), (5, 9), (9, 15))
+    ])
+    assert payload["v"].num_chunks == 3
+    runs = [(0, 3, "s=a"), (3, 11, "s=b"), (11, 15, "s=c")]
+    path = str(tmp_path / "shard.arrow")
+    staged = gp._stage_runs(path, payload, runs)
+    assert staged == [
+        ("s=a", 3), ("s=b", 2), ("s=b", 4), ("s=b", 2), ("s=c", 4)
+    ]
+    sink_parts: dict = {}
+    for i, (sink, rows) in enumerate(staged):
+        sink_parts.setdefault(sink, []).append((path, i, rows))
+    out = str(tmp_path / "out")
+    outputs = [(sink, "part-00000.parquet", parts, sum(p[2] for p in parts))
+               for sink, parts in sorted(sink_parts.items())]
+    assert gp._compact_outputs(out, outputs) == 3
+    for (s, e, sink) in runs:
+        got = pq.read_table(os.path.join(out, sink, "part-00000.parquet"))
+        assert got["v"].to_pylist() == list(range(s, e))
