@@ -1669,7 +1669,10 @@ FROM read_parquet('{t}/*.parquet')
 WHERE nullif(regexp_extract(text, '(?:request from|client=)\\s*([^\\s"]+)', 1), '') IS NOT NULL
 GROUP BY 1 ORDER BY 1
 """
-    from logstash_filter_geoip_ray.pipelines.data_ops import DATA_ORACLES
+    from logstash_filter_geoip_ray.pipelines.data_ops import (
+        DATA_ORACLES,
+        semdedup_oracles,
+    )
 
     from logstash_filter_geoip_ray.pipelines.geoip_pipeline import (
         oracle_db_key_counts_sql,
@@ -2123,4 +2126,5 @@ SELECT conv_id, CAST(count(*) AS BIGINT) AS n_turns,
 FROM read_parquet('{t}/*.parquet') GROUP BY 1 ORDER BY 1
 """
     out.update(DATA_ORACLES)
+    out.update(semdedup_oracles())
     return out

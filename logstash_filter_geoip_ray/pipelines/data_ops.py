@@ -7199,12 +7199,24 @@ ORDER BY v.vec_id
 """
 
 
-_sem_sql = _semdedup_oracle_sql()
-if _sem_sql is not None:
-    DATA_ORACLES["dedup_semantic_clustered"] = _sem_sql
-_sem_sql_sampled = _semdedup_oracle_sql(init="sample")
-if _sem_sql_sampled is not None:
-    DATA_ORACLES["dedup_semantic_clustered_sampled"] = _sem_sql_sampled
+def semdedup_oracles() -> Dict[str, str]:
+    """The two dedup_semantic_clustered oracles, built when the oracle
+    runner asks for them (each is a local k-means fit over the corpus, too
+    dear for import time). A variant whose corpus is absent, or whose fit
+    raises ``ValueError`` (the sampled init on a corpus too small for its
+    sample), stays rows-only."""
+    out = {}
+    for name, init in (
+        ("dedup_semantic_clustered", "farthest"),
+        ("dedup_semantic_clustered_sampled", "sample"),
+    ):
+        try:
+            sql = _semdedup_oracle_sql(init=init)
+        except ValueError:
+            sql = None
+        if sql is not None:
+            out[name] = sql
+    return out
 
 
 def _model_scores_oracle_sql() -> str:

@@ -154,8 +154,8 @@ def build_enriched(
 
 def sink_counts(enriched_ds, count_alias: str = "n"):
     """Per-sink (country, tool) counts, sorted — matches ORACLE_SINK_COUNTS.
-    Sorting happens inside the final tree-combine task (the result is a few
-    hundred rows; a Ray Sort operator would be pure fixed overhead). The
+    Sorting happens in the driver's last fold (the result is a few hundred
+    rows; a Ray Sort operator would be pure fixed overhead). The
     partial counts take whole blocks: a fixed batch size makes Ray bundle
     small blocks into fewer tasks than there are CPUs."""
     return grouped_counts(
@@ -574,7 +574,7 @@ def _compact_outputs(out_dir: str, outputs: list) -> int:
                             b = b.slice(head.num_rows)
                             buf.append(head)
                             rows += head.num_rows
-                            nbytes += head.nbytes
+                            nbytes += head.get_total_buffer_size()
                             if (rows >= _ROW_GROUP_ROWS
                                     or nbytes >= _ROW_GROUP_BYTES):
                                 writer.write_table(pa.Table.from_batches(buf))
@@ -812,7 +812,7 @@ def asn_salted_counts(sf_dir: str, rows: Optional[int] = None, buckets: int = 8)
         return pa.table({"asn_key": key})
 
     keyed = ds.map_batches(add_asn_key, batch_format="pyarrow")
-    # sort folds into the final combine (52 keys — a Sort operator here was
+    # sort folds into the driver's last fold (52 keys — a Sort operator was
     # a pure fixed-cost all-to-all)
     return salted_grouped_counts(
         keyed, ["asn_key"], "n", buckets=buckets, sort_result=True

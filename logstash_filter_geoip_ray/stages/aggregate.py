@@ -8,8 +8,8 @@ level operators the north_rule requires natively (SURVEY.md §2.B).
 Scale design: a naive ``ds.groupby(k).count()`` shuffles every row. Instead
 each ``map_batches`` task counts its own batch (one output row per distinct
 key per batch — with ~200 countries × 5 tools the partials are microscopic),
-and only the partials go through the wide ``groupby().sum()``. At 10^12 rows
-the shuffle volume is proportional to #batches × #distinct-keys, not rows.
+and only the partials reach the driver, which folds them into one row per
+key. At 10^12 rows that traffic is #batches × #distinct-keys, not rows.
 """
 
 from __future__ import annotations
@@ -40,93 +40,77 @@ def _combine_sums(key_cols: Sequence[str], sum_cols: Sequence[str], sort: bool):
     return combine
 
 
-#: loud guard for the driver-side final combine: with combiner partials the
-#: surviving rows are #tasks × #keys — if they exceed this, the keys are not
-#: low-cardinality and grouped_counts is the wrong operator (use
-#: salted_grouped_counts / the native groupby), so fail with that message
-#: rather than silently ballooning the driver.
+#: the driver folds its buffer of partial rows each time this many rows have
+#: arrived since the last fold, so its memory stays near this plus the
+#: number of keys
+_FOLD_ROWS = 1 << 20
+
+#: loud guard on the driver-side fold: the folded table holds one row per
+#: key, so past this many the keys are not low-cardinality and the fold is
+#: the wrong operator — fail early, before the driver balloons
 MAX_DRIVER_COMBINE_ROWS = 50_000_000
 
 
+def _folded(combine, tables: List[pa.Table]) -> pa.Table:
+    out = combine(pa.concat_tables(tables, promote_options="permissive").combine_chunks())
+    if out.num_rows > MAX_DRIVER_COMBINE_ROWS:
+        raise RuntimeError(
+            "driver-side fold: %d keys exceed MAX_DRIVER_COMBINE_ROWS (%d) — "
+            "the key set is not low-cardinality; use salted_grouped_counts "
+            "or the native groupby().aggregate() for this key"
+            % (out.num_rows, MAX_DRIVER_COMBINE_ROWS)
+        )
+    return out
+
+
+def _fold(ds, combine, last):
+    """Stream ``ds``'s blocks to the driver, fold them with ``combine``
+    every ``_FOLD_ROWS`` rows and once more with ``last``; return the result
+    as a one-block materialized Dataset. With no rows, ``last`` folds the
+    upstream's empty table, so the columns keep their types."""
+    import ray.data
+
+    buf, fresh = [], 0
+    for t in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        buf.append(t)
+        fresh += t.num_rows
+        if fresh > _FOLD_ROWS:
+            buf, fresh = [_folded(combine, buf)], 0
+    if not buf:
+        schema = ds.schema()
+        if schema is None:
+            return ray.data.from_blocks([])
+        buf = [pa.schema(list(zip(schema.names, schema.types))).empty_table()]
+    # from_blocks computes the block metadata here; from_arrow would run a
+    # remote task for it
+    return ray.data.from_blocks([_folded(last, buf)])
+
+
 def tree_sum(ds, key_cols: Sequence[str], sum_cols: Sequence[str],
-             sort_result: bool = True, final: str = "driver"):
-    """Sum ``sum_cols`` per key via a combine tree instead of Ray's native
-    hash-aggregate: combine per task (bundling many tiny partial blocks) →
-    one final combine (+ sort inside it).
+             sort_result: bool = True):
+    """Sum ``sum_cols`` per key of ``ds``'s partial rows, folded on the
+    driver (see :func:`_fold`); the result is one block, sorted by key when
+    ``sort_result``.
 
-    Why: with combiner-style partials the surviving data is #blocks × #keys
-    rows — for hundreds of keys that is a few thousand rows even at 10^12
-    input rows per 10^5 blocks per stage wave, and Ray's all-to-all
-    Aggregate/Sort operators cost ~2s of fixed setup that dwarfs the work.
-    For *high-cardinality* keys use the native ``groupby().aggregate()``
-    instead (see salted_grouped_counts).
-
-    ``final="driver"`` (default) runs the last combine on the driver over
-    the pulled per-task partials (bounded by construction; loud cap at
-    MAX_DRIVER_COMBINE_ROWS) and returns a materialized single-block
-    Dataset — skipping the trailing ``repartition(1)`` exchange saves
-    ~0.2 s of fixed streaming-executor latency per query (measured at
-    41.9M rows / 32 cpus: 1.573 → 1.349 s headline). ``final="task"``
-    keeps the fully-lazy repartition tail (use when composing further
-    stages onto the result of a plan built but not yet executed).
-    """
-    c = _combine_sums(key_cols, sum_cols, sort=False)
-    # first tier: map_batches with a large batch_size BUNDLES many tiny
-    # partial blocks into one task input (a repartition here would pay
-    # per-block coalesce overhead — measured ~2s for 640 micro-blocks).
-    # num_cpus=0.9 intentionally differs from upstream so Ray does NOT fuse
-    # this op into the big map chain (fusion would push the huge batch_size
-    # onto the whole chain and serialize it into a handful of giant tasks).
-    combined = ds.map_batches(
-        c, batch_format="pyarrow", batch_size=1 << 20, num_cpus=0.9
-    )
-    if final == "driver":
-        import ray.data
-
-        final_c = _combine_sums(key_cols, sum_cols, sort=sort_result)
-        # stream the per-task combined blocks to the driver (iter_batches
-        # keeps the streaming executor path; to_arrow_refs() measured +1.4 s
-        # of materialize overhead on the same plan)
-        tbls = [
-            t
-            for t in combined.iter_batches(batch_format="pyarrow", batch_size=None)
-            if t.num_rows
-        ]
-        if tbls:
-            tbl = pa.concat_tables(tbls, promote_options="permissive")
-            if tbl.num_rows > MAX_DRIVER_COMBINE_ROWS:
-                raise RuntimeError(
-                    "tree_sum(final='driver'): %d partial rows exceed the "
-                    "driver-combine cap (%d) — the key set is not "
-                    "low-cardinality; use salted_grouped_counts or the "
-                    "native groupby().aggregate() for this key"
-                    % (tbl.num_rows, MAX_DRIVER_COMBINE_ROWS)
-                )
-            return ray.data.from_arrow(final_c(tbl.combine_chunks()))
-        # 0 surviving blocks (empty input): fall through to the lazy tail,
-        # which preserves the upstream schema end-to-end
-    final_ds = combined.repartition(1).map_batches(
+    With combiner-style partials the rows that reach the driver are
+    #blocks × #keys, a few thousand for hundreds of keys, and any Ray
+    operator on them (native Aggregate/Sort, or a combine task) costs more
+    fixed latency than the work. For *high-cardinality* keys use the native
+    ``groupby().aggregate()`` or :func:`salted_grouped_counts`; past
+    ``MAX_DRIVER_COMBINE_ROWS`` folded keys this raises."""
+    return _fold(
+        ds,
+        _combine_sums(key_cols, sum_cols, sort=False),
         _combine_sums(key_cols, sum_cols, sort=sort_result),
-        batch_format="pyarrow",
-        batch_size=None,
     )
-    return final_ds
 
 
 def tree_agg(ds, combine_fn):
-    """Generalized :func:`tree_sum` scaffold for arbitrary mergeable
-    combines: bundle many tiny partial blocks per task (large batch_size;
-    num_cpus=0.9 blocks operator fusion — see tree_sum's comment), then
-    one final single-block combine. ``combine_fn`` must be idempotent
-    under re-grouping (pure merge of partial rows)."""
-    return (
-        ds.map_batches(
-            combine_fn, batch_format="pyarrow", batch_size=1 << 20,
-            num_cpus=0.9,
-        )
-        .repartition(1)
-        .map_batches(combine_fn, batch_format="pyarrow", batch_size=None)
-    )
+    """:func:`tree_sum` for any mergeable combine: ``combine_fn`` folds
+    partial rows into one row per key on the driver, and must give the same
+    result however the rows are split between folds. The result is one
+    block."""
+    return _fold(ds, combine_fn, combine_fn)
 
 
 def grouped_counts(
@@ -238,9 +222,7 @@ def salted_grouped_counts(
     per_salt = stage1.groupby(list(key_cols) + ["_salt"]).aggregate(
         Sum(count_alias, alias_name=count_alias)
     )
-    return tree_sum(
-        per_salt, key_cols, [count_alias], sort_result=sort_result, final="driver"
-    )
+    return tree_sum(per_salt, key_cols, [count_alias], sort_result=sort_result)
 
 
 def stratified_sample(ds, key_col: str, id_col: str, n_per_key: int, num_buckets: int = 64):

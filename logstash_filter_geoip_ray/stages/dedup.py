@@ -543,9 +543,10 @@ def bloom_incremental_dedup(
             bf.add_hashes(hash_strings64(text))
         return pa.table({"bits": pa.array([bf.bits.tobytes()], type=pa.binary())})
 
-    # OR-reduce: bundle many partial bitmaps per task (large batch_size with
-    # a fusion-blocking num_cpus marker, same trick as aggregate.tree_sum),
-    # then a single final combine
+    # OR-reduce: bundle many partial bitmaps per task (large batch_size; the
+    # num_cpus=0.9 marker differs from the upstream map's, so Ray does not
+    # fuse the two and push the big batch_size onto the whole chain), then
+    # a single final combine
     def or_combine(batch: pa.Table) -> pa.Table:
         acc = None
         for buf in batch["bits"].to_pylist():
@@ -1179,8 +1180,9 @@ def label_propagation_clusters(pairs_ds, a_col: str = "a", b_col: str = "b",
         # union+aggregate DOUBLE the label table's block count every round
         # (measured: 1→3→7→15… micro-blocks, and per-block operator overhead
         # then dominates); bundle into ~1M-row blocks after each exchange.
-        # num_cpus marker prevents fusion from dragging the big batch_size
-        # upstream (see aggregate.tree_sum).
+        # The num_cpus=0.9 marker differs from the upstream ops' CPU request,
+        # so Ray does not fuse this op into them and push the big
+        # batch_size onto the whole chain.
         return ds.map_batches(
             lambda b: b, batch_format="pyarrow", batch_size=1 << 20, num_cpus=0.9
         )

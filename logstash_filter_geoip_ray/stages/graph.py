@@ -70,8 +70,9 @@ def pagerank(
         # every exchange fragments the stream into per-bucket / per-key
         # micro-blocks (measured on the sf0.01 graph: 64+ blocks of ~1.5k
         # rows → per-task overhead dominated a round 10×); re-bundle into
-        # ~1M-row blocks. num_cpus marker blocks fusion from dragging the
-        # big batch_size upstream (see aggregate.tree_sum).
+        # ~1M-row blocks. The num_cpus=0.9 marker differs from the upstream
+        # ops' CPU request, so Ray does not fuse this op into them and push
+        # the big batch_size onto the whole chain.
         return ds.map_batches(
             lambda b: b, batch_format="pyarrow", batch_size=1 << 20, num_cpus=0.9
         )

@@ -13,7 +13,7 @@ strings binary).
 Scale shape: two independent exchanges, neither carrying rows —
   * scalar moments (n_rows, n_null, min, max): one per-batch pass over
     the COLUMNS (a loop bounded by schema width, never rows), partials
-    tree-combined in one tiny final task;
+    folded on the driver (``aggregate.tree_agg``);
   * exact distinct counts: per-batch distinct (col, value) pairs →
     one global distinct groupby → per-column count. The shuffle is the
     distinct value space itself — the price of exactness; the HLL

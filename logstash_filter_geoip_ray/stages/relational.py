@@ -60,8 +60,7 @@ def hourly_type_pivot(ds, ts_col: str = "ts", type_col: str = "event_type"):
         out["n_total"] = totals.loc[wide.index].to_numpy().astype(np.int64)
         return out.sort_values("hour").reset_index(drop=True)
 
-    # tree_sum ends in repartition(1): the aggregate is one small block, so
-    # the pivot is a single-task reshape
+    # tree_sum returns one small block, so the pivot is a single-task reshape
     return agg.map_batches(pivot, batch_format="pandas", batch_size=None)
 
 
@@ -577,7 +576,7 @@ def priority_rollup(sf_dir: str, cube: bool = False):
         out["sum_price_milli"] = out["sum_price_milli"].astype(np.int64)
         return out.sort_values(["pri", "status"]).reset_index(drop=True)
 
-    # tree_sum ends in repartition(1): the rollup is a single-block reshape
+    # tree_sum returns one block, so the rollup is a single-block reshape
     return finest.map_batches(rollup, batch_format="pandas", batch_size=None)
 
 

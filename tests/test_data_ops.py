@@ -5053,3 +5053,42 @@ def test_containment_merge_cap_error_names_its_keyword(ray_session):
             ray.data.from_arrow(tbl), max_merge_rows=10
         ).to_pandas()
     assert "max_block_rows" not in str(err.value)
+
+
+def test_data_ops_import_fits_no_kmeans():
+    """The semdedup oracles' k-means fits run when an oracle is asked for,
+    not when data_ops is imported."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import logstash_filter_geoip_ray.stages.clustering as c\n"
+        "def boom(*a, **k): raise SystemExit('kmeans_fit_local at import')\n"
+        "c.kmeans_fit_local = boom\n"
+        "import logstash_filter_geoip_ray.pipelines.data_ops as d\n"
+        "assert 'dedup_semantic_clustered' not in d.DATA_ORACLES\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_semdedup_oracles_fall_back_to_rows_only(monkeypatch):
+    import os
+
+    from logstash_filter_geoip_ray.pipelines.data_ops import semdedup_oracles
+    from logstash_filter_geoip_ray.stages import clustering
+
+    def fit(tbl, k, iters, init, sample_milli):
+        if init == "sample":
+            raise ValueError("sample smaller than k")
+        return np.zeros((k, 2), dtype=np.int64)
+
+    monkeypatch.setattr(clustering, "kmeans_fit_local", fit)
+    got = semdedup_oracles()
+    assert "dedup_semantic_clustered_sampled" not in got
+    has_corpus = os.path.exists(os.path.join(SF, "embeddings.parquet"))
+    assert ("dedup_semantic_clustered" in got) == has_corpus
